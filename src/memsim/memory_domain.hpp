@@ -20,7 +20,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -104,8 +106,12 @@ class MemoryDomain {
     return cfg_.coherence == Coherence::noncoherent_writethrough;
   }
 
+  struct FreeArena {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+
   DomainConfig cfg_;
-  std::vector<std::byte> arena_;
+  std::unique_ptr<std::byte[], FreeArena> arena_;  // cfg_.size bytes, zeroed
   // Scalar cache: line index -> copy of the line at the time it was loaded
   // or last written by this CPU.
   std::unordered_map<std::uint64_t, std::vector<std::byte>> cache_;

@@ -162,18 +162,25 @@ void Portals::charge_inject(sim::Context& ctx, std::uint64_t op) {
   }
 }
 
-void Portals::post_send_event(const Event& ev, EventQueue* eq,
+void Portals::post_send_event(const Event& ev, MdHandle md,
                               std::uint64_t bytes) {
   // Local (SEND) completion models the DMA out of the source buffer: it
   // arrives local_completion_ns plus serialization time after injection.
   const auto& costs = nic_->fabric().costs();
   const auto serial = static_cast<sim::Time>(
       static_cast<double>(bytes) / costs.bytes_per_ns);
-  nic_->fabric().engine().schedule_in(costs.local_completion_ns + serial,
-                                      [this, eq, ev] {
-                                        trace_eq("send", ev);
-                                        eq->post(ev);
-                                      });
+  nic_->fabric().engine().schedule_in(
+      costs.local_completion_ns + serial, [this, md, ev] {
+        auto it = mds_.find(md);
+        if (it == mds_.end()) {
+          // MD (and possibly its EQ) released before the DMA completed.
+          note_dropped(ev.initiator, ev.match_bits, ev.remote_offset,
+                       ev.length, ev.user_ptr);
+          return;
+        }
+        trace_eq("send", ev);
+        it->second.eq->post(ev);
+      });
 }
 
 void Portals::send_to(int target, const WireHdr& hdr,
@@ -219,7 +226,7 @@ void Portals::put(sim::Context& ctx, MdHandle md, std::uint64_t local_off,
   if (m.eq != nullptr) {
     post_send_event(Event{EventType::send, node(), match, remote_off,
                           length, user_ptr},
-                    m.eq, length);
+                    md, length);
   }
 }
 
@@ -280,7 +287,7 @@ void Portals::atomic(sim::Context& ctx, AccOp op, NumType nt, MdHandle md,
   if (m.eq != nullptr) {
     post_send_event(Event{EventType::send, node(), match, remote_off,
                           length, user_ptr},
-                    m.eq, length);
+                    md, length);
   }
 }
 

@@ -1,10 +1,36 @@
 #include "simtime/engine.hpp"
 
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <sstream>
+#include <utility>
 
 #include "trace/recorder.hpp"
 
 namespace m3rma::sim {
+
+namespace {
+
+// The default thread stack size; a PROT_NONE guard page below each faults.
+constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+const auto kGuardBytes = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+
+// AddressSanitizer tracks one stack per thread: tell it where a switch lands.
+#if defined(__SANITIZE_ADDRESS__)
+void asan_start(void** fake, const void* bottom, std::size_t size) {
+  __sanitizer_start_switch_fiber(fake, bottom, size);
+}
+void asan_finish(void* fake, const void** bottom, std::size_t* size) {
+  __sanitizer_finish_switch_fiber(fake, bottom, size);
+}
+#else
+void asan_start(void**, const void*, std::size_t) {}
+void asan_finish(void*, const void**, std::size_t*) {}
+#endif
+
+}  // namespace
 
 // ---------------------------------------------------------------- Context
 
@@ -15,12 +41,9 @@ const std::string& Context::name() const {
 }
 
 void Context::delay(Time ns) {
-  Engine* e = eng_;
-  const int pid = pid_;
-  e->check_killed(pid);
-  e->schedule_in(ns, [e, pid] { e->dispatch(pid); });
-  e->note_block(pid, "delay");
-  e->block_current(pid);
+  eng_->check_killed(pid_);
+  eng_->schedule_in(ns, [e = eng_, pid = pid_] { e->dispatch(pid); });
+  eng_->block_current(pid_, "delay");
 }
 
 void Context::yield() { delay(0); }
@@ -29,17 +52,13 @@ void Context::await(Condition& c) {
   M3RMA_ENSURE(c.eng_ == eng_, "Condition belongs to a different engine");
   eng_->check_killed(pid_);
   c.waiters_.push_back(pid_);
-  eng_->note_block(pid_, "await");
-  eng_->block_current(pid_);
+  eng_->block_current(pid_, "await");
 }
 
 // -------------------------------------------------------------- Condition
 
 void Condition::notify_all() {
-  if (waiters_.empty()) return;
-  std::vector<int> ws;
-  ws.swap(waiters_);
-  for (int pid : ws) eng_->wake(pid);
+  for (int pid : std::exchange(waiters_, {})) eng_->wake(pid);
 }
 
 // ----------------------------------------------------------------- Engine
@@ -53,19 +72,6 @@ void Engine::set_tracer(trace::Recorder* t) {
   if (t != nullptr) t->bind_clock(&now_);
 }
 
-void Engine::note_block(int pid, const char* why) {
-  if (tracer_ == nullptr) return;
-  ProcessState& ps = *procs_[static_cast<std::size_t>(pid)];
-  // Snapshot first: the simulation is sequential, so the recorder's most
-  // recent (non-sim) record is what this process was doing when it blocked.
-  ps.last_site = tracer_->last_site();
-  if (auto* tr = trace::want(tracer_, trace::Category::sim)) {
-    if (ps.trace_track < 0) ps.trace_track = tr->track(ps.name);
-    ps.blocked_span =
-        tr->span_begin(ps.trace_track, trace::Category::sim, why);
-  }
-}
-
 int Engine::spawn(std::string name, std::function<void(Context&)> fn,
                   bool daemon) {
   M3RMA_ENSURE(!shutdown_, "spawn after shutdown");
@@ -76,7 +82,6 @@ int Engine::spawn(std::string name, std::function<void(Context&)> fn,
   ps->daemon = daemon;
   if (!daemon) ++live_nondaemon_;
   procs_.push_back(std::move(ps));
-  procs_.back()->thread = std::thread(&Engine::process_main, this, pid);
   wake(pid);  // first dispatch at the current instant (time 0 before run())
   return pid;
 }
@@ -128,26 +133,13 @@ void Engine::run() {
   }
   shutdown_all();
   in_run_ = false;
-  if (failure_) {
-    auto f = failure_;
-    failure_ = nullptr;
-    std::rethrow_exception(f);
-  }
+  if (failure_) std::rethrow_exception(std::exchange(failure_, nullptr));
 }
 
 void Engine::process_main(int pid) {
   ProcessState& ps = *procs_[static_cast<std::size_t>(pid)];
-  {
-    std::unique_lock<std::mutex> l(mu_);
-    ps.cv.wait(l, [&] { return running_pid_ == pid || shutdown_; });
-    if (shutdown_) {
-      ps.finished = true;
-      return;
-    }
-    ps.started = true;
-  }
+  asan_finish(nullptr, &sched_stack_bottom_, &sched_stack_size_);
   Context ctx(this, pid);
-  std::exception_ptr err;
   try {
     ps.fn(ctx);
   } catch (const ShutdownSignal&) {
@@ -156,16 +148,13 @@ void Engine::process_main(int pid) {
     // Fail-stop death (Engine::kill): the body unwound mid-simulation and
     // the rest of the world keeps running.
   } catch (...) {
-    err = std::current_exception();
+    if (!failure_) failure_ = std::current_exception();
   }
-  {
-    std::unique_lock<std::mutex> l(mu_);
-    if (err && !failure_) failure_ = err;
-    ps.finished = true;
-    if (!ps.daemon) --live_nondaemon_;
-    running_pid_ = -1;
-    sched_cv_.notify_one();
-  }
+  ps.finished = true;
+  if (!ps.daemon) --live_nondaemon_;
+  // Never returns: resume() unmaps this stack once it is back.
+  asan_start(nullptr, sched_stack_bottom_, sched_stack_size_);
+  setcontext(&sched_fiber_);
 }
 
 void Engine::dispatch(int pid) {
@@ -173,22 +162,62 @@ void Engine::dispatch(int pid) {
   if (ps.finished) return;
   ps.wake_pending = false;
   if (tracer_ != nullptr && ps.blocked_span != 0) {
-    tracer_->span_end(ps.blocked_span);
-    ps.blocked_span = 0;
+    tracer_->span_end(std::exchange(ps.blocked_span, 0));
   }
-  std::unique_lock<std::mutex> l(mu_);
   ++context_switches_;
-  running_pid_ = pid;
-  ps.cv.notify_one();
-  sched_cv_.wait(l, [&] { return running_pid_ == -1; });
+  resume(pid);
 }
 
-void Engine::block_current(int pid) {
+void Engine::resume(int pid) {
   ProcessState& ps = *procs_[static_cast<std::size_t>(pid)];
-  std::unique_lock<std::mutex> l(mu_);
-  running_pid_ = -1;
-  sched_cv_.notify_one();
-  ps.cv.wait(l, [&] { return running_pid_ == pid || shutdown_; });
+  if (ps.stack == nullptr) {  // first dispatch: make the fiber
+    void* mem = mmap(nullptr, kGuardBytes + kStackBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    M3RMA_ENSURE(mem != MAP_FAILED &&
+                     mprotect(mem, kGuardBytes, PROT_NONE) == 0,
+                 "cannot map a process stack");
+    ps.stack = static_cast<char*>(mem);
+    getcontext(&ps.fiber);
+    ps.fiber.uc_stack.ss_sp = ps.stack + kGuardBytes;
+    ps.fiber.uc_stack.ss_size = kStackBytes;
+    // makecontext passes int arguments only, so `this` travels in halves.
+    auto* entry = +[](unsigned hi, unsigned lo, int p) {
+      auto* e = reinterpret_cast<Engine*>((std::uintptr_t{hi} << 32) | lo);
+      e->process_main(p);
+    };
+    const auto self = reinterpret_cast<std::uintptr_t>(this);
+    makecontext(&ps.fiber, reinterpret_cast<void (*)()>(entry), 3,
+                static_cast<unsigned>(self >> 32), static_cast<unsigned>(self),
+                pid);
+  }
+  asan_start(&sched_asan_fake_stack_, ps.stack + kGuardBytes, kStackBytes);
+  swapcontext(&sched_fiber_, &ps.fiber);
+  asan_finish(sched_asan_fake_stack_, nullptr, nullptr);
+  if (ps.finished) {
+    ASAN_UNPOISON_MEMORY_REGION(ps.stack, kGuardBytes + kStackBytes);
+    munmap(ps.stack, kGuardBytes + kStackBytes);
+  }
+}
+
+void Engine::block_current(int pid, const char* why) {
+  ProcessState& ps = *procs_[static_cast<std::size_t>(pid)];
+  if (tracer_ != nullptr) {
+    // Snapshot first: the simulation is sequential, so the recorder's most
+    // recent (non-sim) record is what this process was doing when it blocked.
+    ps.last_site = tracer_->last_site();
+    if (auto* tr = trace::want(tracer_, trace::Category::sim)) {
+      if (ps.trace_track < 0) ps.trace_track = tr->track(ps.name);
+      ps.blocked_span =
+          tr->span_begin(ps.trace_track, trace::Category::sim, why);
+    }
+  }
+  if (shutdown_) throw ShutdownSignal{};
+  // The runtime's list of handled exceptions is per thread, not per fiber.
+  M3RMA_ENSURE(std::current_exception() == nullptr,
+               "a simulated process must not block inside a catch handler");
+  asan_start(&ps.asan_fake_stack, sched_stack_bottom_, sched_stack_size_);
+  swapcontext(&ps.fiber, &sched_fiber_);
+  asan_finish(ps.asan_fake_stack, &sched_stack_bottom_, &sched_stack_size_);
   if (shutdown_) throw ShutdownSignal{};
   if (ps.killed) throw KillSignal{};
 }
@@ -209,11 +238,8 @@ void Engine::kill(int pid) {
                 "kill of an unknown process");
   ProcessState& ps = *procs_[static_cast<std::size_t>(pid)];
   if (ps.finished || ps.killed) return;
-  // The flag is only read while the process (or the scheduler) holds the
-  // baton, so the baton handoff already orders this write; the wake makes a
-  // blocked victim re-examine it at the current instant.
   ps.killed = true;
-  wake(pid);
+  wake(pid);  // a blocked victim sees the flag at the current instant
 }
 
 bool Engine::kill_requested(int pid) const {
@@ -223,13 +249,13 @@ bool Engine::kill_requested(int pid) const {
 }
 
 void Engine::shutdown_all() {
-  {
-    std::unique_lock<std::mutex> l(mu_);
-    shutdown_ = true;
-    for (auto& p : procs_) p->cv.notify_all();
-  }
-  for (auto& p : procs_) {
-    if (p->thread.joinable()) p->thread.join();
+  shutdown_ = true;
+  // Unwind each blocked process on its own stack, in pid order (unwinding
+  // bodies cannot spawn). A process never dispatched has no stack yet.
+  for (std::size_t pid = 0; pid < procs_.size(); ++pid) {
+    ProcessState& ps = *procs_[pid];
+    if (ps.stack == nullptr) ps.finished = true;
+    if (!ps.finished) resume(static_cast<int>(pid));
   }
 }
 

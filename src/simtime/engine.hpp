@@ -1,9 +1,9 @@
 // Cooperative discrete-event simulation engine.
 //
 // m3rma runs every "MPI rank", communication thread, and NIC event of the
-// simulated machine under this engine. Simulated processes are real
-// std::threads, but a baton protocol guarantees exactly one runs at a time,
-// so the simulation is sequential, deterministic, and race-free by
+// simulated machine under this engine. Simulated processes are ucontext
+// fibers on the thread that calls run(), and exactly one runs at a time, so
+// the simulation is sequential, deterministic, and race-free by
 // construction. Virtual time (nanoseconds) advances only through the event
 // queue; a process that computes without calling delay() takes zero virtual
 // time, which is the standard DES convention.
@@ -13,19 +13,21 @@
 //   * Context::await(c)   — sleep until Condition c is notified
 //   * Channel<T>::recv    — built on Condition (see channel.hpp)
 //
+// The C++ runtime keeps the exceptions being handled per thread, not per
+// fiber, so a process must not block inside a catch handler (enforced).
+//
 // Event callbacks (message deliveries, timers) run in the scheduler's
 // context, also exclusively, so they may touch shared simulation state
 // freely and may notify conditions / schedule further events.
 #pragma once
 
+#include <ucontext.h>
+
 #include <cstdint>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -170,9 +172,9 @@ class Engine {
   struct ProcessState {
     std::string name;
     std::function<void(Context&)> fn;
-    std::thread thread;
-    std::condition_variable cv;
-    bool started = false;
+    ucontext_t fiber;
+    char* stack = nullptr;  // guard page first; null until first dispatched
+    void* asan_fake_stack = nullptr;
     bool finished = false;
     bool daemon = false;
     bool wake_pending = false;
@@ -194,26 +196,28 @@ class Engine {
   };
 
   void process_main(int pid);
-  /// Give the baton to `pid` and wait until it blocks, finishes or throws.
+  /// Run `pid` (as its event fires) until it blocks, finishes or throws.
   void dispatch(int pid);
-  /// Called by the running process to give the baton back; returns when the
-  /// process is dispatched again. Throws ShutdownSignal during teardown.
-  void block_current(int pid);
+  /// Start or continue `pid` on its fiber; unmap its stack once it is done.
+  void resume(int pid);
+  /// Called by the running process to switch back to the scheduler; returns
+  /// when the process is dispatched again. Throws ShutdownSignal during
+  /// teardown and KillSignal once the process is killed. Tracing: snapshots
+  /// the process's last trace site and opens its blocked span (`why`).
+  void block_current(int pid, const char* why);
   /// Schedule `pid` to be dispatched at the current instant (idempotent per
   /// blocking period).
   void wake(int pid);
   /// Entry guard of every blocking primitive: a killed process dies at the
-  /// point it would next give up the baton (covers blocking calls made while
+  /// point it would next switch out (covers blocking calls made while
   /// its destructors unwind, too).
   void check_killed(int pid);
   void shutdown_all();
-  /// Tracing: snapshot the process's last trace site and open its blocked
-  /// span. Called by the process itself right before it gives up the baton.
-  void note_block(int pid, const char* why);
 
-  std::mutex mu_;
-  std::condition_variable sched_cv_;
-  int running_pid_ = -1;  // -1: scheduler owns the baton
+  ucontext_t sched_fiber_;  // the run() caller's context while a process runs
+  void* sched_asan_fake_stack_ = nullptr;
+  const void* sched_stack_bottom_ = nullptr;  // recorded for AddressSanitizer
+  std::size_t sched_stack_size_ = 0;
   bool shutdown_ = false;
 
   std::vector<std::unique_ptr<ProcessState>> procs_;

@@ -256,6 +256,25 @@ TEST_F(PortalsTest, StaleAckPostsDroppedEvent) {
   EXPECT_EQ(p0->dropped_messages(), 1u);
 }
 
+TEST_F(PortalsTest, SendEventAfterMdReleaseIsDropped) {
+  // The SEND event fires local_completion_ns after injection. An MD released
+  // before then (its EQ may be gone with it) must not receive the event: it
+  // is counted as dropped instead.
+  build();
+  const auto src = mem0->alloc(8);
+  const auto dst = mem1->alloc(8);
+  EventQueue eq(eng);
+  p1->me_append(kPt, kMatch, 0, dst, 8, nullptr);
+  eng.spawn("origin", [&](sim::Context& ctx) {
+    const auto md = p0->md_bind(src, 8, &eq);
+    p0->put(ctx, md, 0, 8, 1, kPt, kMatch, 0, 17, /*want_ack=*/false);
+    p0->md_release(md);  // SEND event still pending
+  });
+  eng.run();
+  EXPECT_EQ(eq.pending(), 0u);
+  EXPECT_EQ(p0->dropped_messages(), 1u);
+}
+
 TEST_F(PortalsTest, StaleNotifyAckPostsDroppedEvent) {
   // Notified variant: the target-side notification still fires (the data
   // DID land), but the returning notify-ack finds its MD gone and must

@@ -313,6 +313,70 @@ TEST(Engine, KillIsIdempotentAndImmediateOnNextBlock) {
   EXPECT_EQ(steps, 1);
 }
 
+TEST(Engine, SpawnsFromRunningProcessesAndKillsWhileBlocked) {
+  // Half of 512 processes are spawned by running ones, so the process table
+  // grows mid-run; every third process is killed while it is blocked. Every
+  // body must either finish or unwind, and run() must return.
+  Engine e;
+  constexpr int kProcs = 512;
+  int finished = 0;
+  int unwound = 0;
+  std::vector<int> pids;
+  const auto body = [&](Context& ctx) {
+    struct Unwind {
+      int* count;
+      bool done = false;
+      ~Unwind() {
+        if (!done) ++*count;
+      }
+    } u{&unwound};
+    ctx.delay(100);
+    ctx.delay(100);
+    u.done = true;
+    ++finished;
+  };
+  for (int i = 0; i < kProcs / 2; ++i) {
+    pids.push_back(e.spawn("parent", [&](Context& ctx) {
+      pids.push_back(ctx.engine().spawn("child", body));
+      body(ctx);
+    }));
+  }
+  e.spawn("killer", [&](Context& ctx) {
+    ctx.delay(50);
+    for (std::size_t i = 0; i < pids.size(); i += 3) ctx.engine().kill(pids[i]);
+  });
+  e.run();
+  ASSERT_EQ(pids.size(), static_cast<std::size_t>(kProcs));
+  const int killed = (kProcs + 2) / 3;
+  EXPECT_EQ(unwound, killed);
+  EXPECT_EQ(finished, kProcs - killed);
+  EXPECT_EQ(e.now(), 200u);
+}
+
+TEST(Engine, BlockingInsideCatchHandlerFails) {
+  // The runtime keeps the exceptions being handled per thread, and every
+  // process shares the scheduler's thread: blocking inside a handler would
+  // interleave them, so it fails loudly instead.
+  Engine e;
+  bool resumed = false;
+  e.spawn("p", [&](Context& ctx) {
+    try {
+      throw std::runtime_error("handled");
+    } catch (const std::runtime_error&) {
+      ctx.delay(1);
+      resumed = true;
+    }
+  });
+  try {
+    e.run();
+    FAIL() << "expected Panic";
+  } catch (const Panic& p) {
+    EXPECT_NE(std::string(p.what()).find("inside a catch handler"),
+              std::string::npos);
+  }
+  EXPECT_FALSE(resumed);
+}
+
 // ---------------------------------------------------------------- Channel
 
 TEST(Channel, PushThenRecv) {
